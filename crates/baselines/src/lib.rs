@@ -23,8 +23,8 @@ pub type Q5Baseline = Result<(Vec<(String, f64)>, JobMetrics, f64)>;
 pub fn forced_context(platform: rheem_core::platform::PlatformId) -> RheemContext {
     let mut ctx = RheemContext::new()
         .with_platform(&platform_javastreams::JavaStreamsPlatform::new())
-        .with_platform(&platform_spark::SparkPlatform::new())
-        .with_platform(&platform_flink::FlinkPlatform::new());
+        .with_platform(&platform_partitioned::PartitionedPlatform::spark())
+        .with_platform(&platform_partitioned::PartitionedPlatform::flink());
     ctx.register_platform(&platform_graph::GiraphPlatform::new());
     ctx.register_platform(&platform_graph::JGraphPlatform::new());
     ctx.register_platform(&platform_graph::GraphChiPlatform::new());

@@ -85,9 +85,9 @@ fn bench_movement() {
     // routing pays it once per consumer. (From a *non-reusable* root the
     // comparison would be unfair the other way: per-consumer paths would
     // implicitly assume free lineage recomputation.)
-    let root = platform_spark::RDD_CACHED;
+    let root = platform_partitioned::RDD_CACHED;
     let consumers =
-        vec![vec![kinds::COLLECTION], vec![kinds::COLLECTION], vec![platform_flink::DATASET]];
+        vec![vec![kinds::COLLECTION], vec![kinds::COLLECTION], vec![platform_partitioned::DATASET]];
     bench("movement/mct_shared_tree", 20, || {
         graph.best_tree(root, &consumers, 1e6, 64.0, &profiles, &model).unwrap().cost_ms
     });

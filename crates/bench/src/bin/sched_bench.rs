@@ -81,8 +81,9 @@ fn bench_task(task: &'static str, db: &Arc<PgDatabase>, plan: &RheemPlan) -> Tas
 }
 
 /// Per-call overhead of a scoped parallel map: fresh `std::thread::scope`
-/// with one thread per partition (the pre-pool pattern in platform-spark /
-/// platform-flink) vs the shared worker pool. Returns µs/call for each.
+/// with one thread per partition (the pattern the partitioned engine used
+/// before the pool) vs the shared worker pool its task waves now run on.
+/// Returns µs/call for each.
 fn pool_microbench() -> (f64, f64) {
     const CALLS: u32 = 300;
     let nparts = rheem_core::pool::size().max(2);

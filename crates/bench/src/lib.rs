@@ -23,8 +23,8 @@ use rheem_core::udf::{FlatMapUdf, KeyUdf, MapUdf, ReduceUdf};
 pub fn default_context() -> RheemContext {
     RheemContext::new()
         .with_platform(&platform_javastreams::JavaStreamsPlatform::new())
-        .with_platform(&platform_spark::SparkPlatform::new())
-        .with_platform(&platform_flink::FlinkPlatform::new())
+        .with_platform(&platform_partitioned::PartitionedPlatform::spark())
+        .with_platform(&platform_partitioned::PartitionedPlatform::flink())
 }
 
 /// The default context plus the graph platforms.

@@ -195,11 +195,11 @@ impl ExecutionOperator for SparkIEJoinOperator {
     }
 
     fn accepted_inputs(&self, _slot: usize) -> Vec<ChannelKind> {
-        vec![platform_spark::RDD, platform_spark::RDD_CACHED]
+        vec![platform_partitioned::RDD, platform_partitioned::RDD_CACHED]
     }
 
     fn output_kind(&self) -> ChannelKind {
-        platform_spark::RDD
+        platform_partitioned::RDD
     }
 
     fn load(&self, in_cards: &[f64], avg_bytes: f64, model: &CostModel) -> Load {
@@ -237,7 +237,7 @@ impl ExecutionOperator for SparkIEJoinOperator {
             + profile.net_ms(shuffle_bytes)
             + profile.task_overhead_ms * profile.partitions as f64 / profile.cores.max(1) as f64;
         let out_card = out.len() as u64;
-        let n = platform_spark::partition_count(out.len(), profile.partitions);
+        let n = platform_partitioned::partition_count(out.len(), profile.partitions);
         let chunk = out.len().div_ceil(n).max(1);
         let parts: Vec<rheem_core::value::Dataset> =
             out.chunks(chunk).map(|c| std::sync::Arc::new(c.to_vec())).collect();

@@ -510,7 +510,14 @@ struct Inner {
     spills: u64,
     promotions: u64,
     spill: Option<spill::SpillStore>,
+    /// Lookups per key, hits and misses alike; halved every
+    /// [`REQUEST_WINDOW`] lookups so old demand fades.
+    requested: HashMap<(u64, u64), u32>,
+    lookups: u64,
 }
+
+/// Lookups between two halvings of the per-key request counts.
+const REQUEST_WINDOW: u64 = 4096;
 
 impl Inner {
     /// Evict `key` from whichever tier holds it; returns the freed byte
@@ -577,11 +584,69 @@ impl Inner {
         }
     }
 
-    /// Bring both tiers back under budget: memory pressure demotes LRU
-    /// entries to disk (falling back to eviction when the spill tier is
-    /// off, full, or failing), then disk pressure evicts LRU spilled
-    /// entries outright. Quoted namespaces are victimized last in both
-    /// loops so cross-tenant pressure lands on unquoted entries first.
+    /// Count one lookup of `key`, hit or miss.
+    fn note_lookup(&mut self, key: (u64, u64)) {
+        *self.requested.entry(key).or_default() += 1;
+        self.lookups += 1;
+        if self.lookups.is_multiple_of(REQUEST_WINDOW) {
+            self.requested.retain(|_, n| {
+                *n /= 2;
+                *n > 0
+            });
+        }
+    }
+
+    /// What keeping `key` is worth per byte: its lookups plus one, per
+    /// accounted byte.
+    fn worth(&self, key: (u64, u64)) -> f64 {
+        let bytes = self.map.get(&key).map_or(1, |e| e.bytes.max(1));
+        (self.requested.get(&key).copied().unwrap_or(0) + 1) as f64 / bytes as f64
+    }
+
+    /// Spilled entries in the order they make room: unquoted namespaces
+    /// first, then least worth per byte, then least recently used.
+    fn spilled_by_worth(&self) -> Vec<(u64, u64)> {
+        let mut keys: Vec<(bool, f64, u64, (u64, u64))> = self
+            .map
+            .iter()
+            .filter(|(_, e)| matches!(e.stored, Stored::Disk(_)))
+            .map(|(&k, e)| (self.quotas.contains_key(&k.0), self.worth(k), e.last_used, k))
+            .collect();
+        keys.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)).then(a.2.cmp(&b.2)));
+        keys.into_iter().map(|(.., k)| k).collect()
+    }
+
+    /// The spilled entries to evict so `bytes` more fit in `disk_budget`,
+    /// or `None` when that would evict an entry worth more per byte than
+    /// `worth` (the newcomer is then the cheaper loss).
+    fn make_room(&self, bytes: u64, disk_budget: u64, worth: f64) -> Option<Vec<(u64, u64)>> {
+        let mut excess = (self.disk_bytes + bytes).saturating_sub(disk_budget);
+        let mut room = Vec::new();
+        for key in self.spilled_by_worth() {
+            if excess == 0 {
+                break;
+            }
+            if self.worth(key) > worth {
+                return None;
+            }
+            excess = excess.saturating_sub(self.map[&key].bytes);
+            room.push(key);
+        }
+        Some(room)
+    }
+
+    /// Bring both tiers back under budget. Memory pressure demotes LRU
+    /// entries to disk; when the disk is full, spilled entries make room
+    /// in [`Self::spilled_by_worth`] order, so the spill tier turns over
+    /// instead of keeping its oldest entries forever. The victim itself is
+    /// evicted instead when spilling is off or failing, when it is larger
+    /// than the whole disk budget, or when making room would evict an
+    /// entry worth more per byte than the victim: a big result nobody
+    /// asked for again must not push out small, requested ones. Disk
+    /// pressure left over (a shrunk budget) then evicts spilled entries
+    /// outright, in the same order. Quoted namespaces are victimized last
+    /// in both tiers so cross-tenant pressure lands on unquoted entries
+    /// first.
     fn enforce(
         &mut self,
         mem_budget: u64,
@@ -595,22 +660,24 @@ impl Inner {
                 .or_else(|| self.victim_where(Some(Tier::Memory), |_| true))
                 .expect("over budget implies a resident entry");
             let vbytes = self.map.get(&victim).map(|e| e.bytes).unwrap_or(0);
-            if self.spill.is_some()
-                && self.disk_bytes + vbytes <= disk_budget
-                && self.spill_victim(victim)
-            {
-                events.push((EventKind::CacheSpilled, victim.1, vbytes));
-            } else {
-                let freed = self.evict(victim);
-                events.push((EventKind::CacheEvicted, victim.1, freed));
+            if self.spill.is_some() && vbytes <= disk_budget {
+                if let Some(room) = self.make_room(vbytes, disk_budget, self.worth(victim)) {
+                    for old in room {
+                        let freed = self.evict(old);
+                        events.push((EventKind::CacheEvicted, old.1, freed));
+                    }
+                    if self.spill_victim(victim) {
+                        events.push((EventKind::CacheSpilled, victim.1, vbytes));
+                        continue;
+                    }
+                }
             }
+            let freed = self.evict(victim);
+            events.push((EventKind::CacheEvicted, victim.1, freed));
         }
         while self.disk_bytes > disk_budget {
-            let quotas = &self.quotas;
-            let victim = self
-                .victim_where(Some(Tier::Disk), |n| !quotas.contains_key(&n))
-                .or_else(|| self.victim_where(Some(Tier::Disk), |_| true))
-                .expect("over disk budget implies a spilled entry");
+            let victim =
+                *self.spilled_by_worth().first().expect("over disk budget implies a spilled entry");
             let freed = self.evict(victim);
             events.push((EventKind::CacheEvicted, victim.1, freed));
         }
@@ -753,6 +820,7 @@ impl ResultCache {
             let mut inner = self.inner.lock().unwrap();
             inner.clock += 1;
             let clock = inner.clock;
+            inner.note_lookup((ns.0, fp.0));
             let found = match inner.map.get_mut(&(ns.0, fp.0)) {
                 Some(e) => {
                     e.last_used = clock;
@@ -1223,6 +1291,23 @@ mod tests {
         assert_eq!(s.entries, 3, "one resident + two spilled");
         assert!(s.evictions >= 1, "disk overflow evicts the oldest spilled entries");
         assert!(cache.lookup(fp(0)).is_none(), "oldest entry aged out of both tiers");
+    }
+
+    #[test]
+    fn full_disk_keeps_requested_entries_over_cold_victims() {
+        let one = rows_unique_bytes(&dataset(100)).max(1);
+        // Memory and disk hold one entry each.
+        let cache = ResultCache::with_disk(one + one / 2, one + one / 2);
+        for _ in 0..3 {
+            assert!(cache.lookup(fp(0)).is_none(), "demand for fp0 before it exists");
+        }
+        cache.insert(fp(0), dataset(100));
+        cache.insert(fp(1), dataset(100)); // fp0 spills
+        cache.insert(fp(2), dataset(100)); // fp1 would displace the requested fp0
+        let s = cache.stats();
+        assert_eq!((s.spills, s.evictions), (1, 1), "the cold victim is dropped, not spilled");
+        assert!(cache.lookup(fp(1)).is_none());
+        assert!(cache.lookup(fp(0)).is_some(), "the requested entry survives on disk");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! use rheem_core::prelude::*;
 //!
 //! // Real applications register platforms (platform-javastreams,
-//! // platform-spark, ...) with the context; the driver alone can at least
+//! // platform-partitioned, ...) with the context; the driver alone can at least
 //! // relay collections end-to-end.
 //! let mut b = PlanBuilder::new();
 //! let sink = b

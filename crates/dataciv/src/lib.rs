@@ -302,17 +302,16 @@ pub fn join_task_reference(data: &TpchData) -> Vec<(i64, i64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use platform_flink::FlinkPlatform;
     use platform_javastreams::JavaStreamsPlatform;
+    use platform_partitioned::PartitionedPlatform;
     use platform_postgres::PostgresPlatform;
-    use platform_spark::SparkPlatform;
     use rheem_core::api::RheemContext;
 
     fn polystore_ctx(db: &Arc<PgDatabase>) -> RheemContext {
         let mut ctx = RheemContext::new()
             .with_platform(&JavaStreamsPlatform::new())
-            .with_platform(&SparkPlatform::new())
-            .with_platform(&FlinkPlatform::new());
+            .with_platform(&PartitionedPlatform::spark())
+            .with_platform(&PartitionedPlatform::flink());
         ctx.register_platform(&PostgresPlatform::new(Arc::clone(db)));
         ctx
     }

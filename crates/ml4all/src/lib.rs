@@ -224,7 +224,7 @@ pub fn sgd_reference(points: &[Value], cfg: &SgdConfig, seed: u64) -> Vec<f64> {
 mod tests {
     use super::*;
     use platform_javastreams::JavaStreamsPlatform;
-    use platform_spark::SparkPlatform;
+    use platform_partitioned::PartitionedPlatform;
     use std::sync::Arc;
 
     fn data(n: usize) -> Dataset {
@@ -280,7 +280,7 @@ mod tests {
         let cfg = SgdConfig { iterations: 80, batch: 64, ..Default::default() };
         let mixed_ctx = RheemContext::new()
             .with_platform(&JavaStreamsPlatform::new())
-            .with_platform(&SparkPlatform::new());
+            .with_platform(&PartitionedPlatform::spark());
         let w_mixed =
             train_sgd(&mixed_ctx, PointSource::InMemory(Arc::clone(&points)), &cfg).unwrap();
         let w_js = train_sgd(&ctx(), PointSource::InMemory(Arc::clone(&points)), &cfg).unwrap();

@@ -30,7 +30,7 @@ struct VertexState {
 }
 
 /// Run PageRank on the BSP engine with `partitions` workers. Produces
-/// results identical to [`crate::pagerank_reference`].
+/// results identical to [`rheem_core::kernels::page_rank_pairs`].
 pub fn pagerank_bsp(
     edges: &[(i64, i64)],
     iterations: u32,
@@ -119,7 +119,7 @@ mod tests {
             let d = (x >> 33) % 60;
             edges.push((s as i64, d as i64));
         }
-        let reference = crate::pagerank_reference(&edges, 8, 0.85);
+        let reference = rheem_core::kernels::page_rank_pairs(edges.iter().copied(), 8, 0.85);
         for parts in [1, 3, 8] {
             let out = pagerank_bsp(&edges, 8, 0.85, parts);
             assert_eq!(out.ranks.len(), reference.len());

@@ -20,6 +20,7 @@ use rheem_core::channel::{kinds, ChannelData, ChannelKind};
 use rheem_core::cost::{linear_cpu, CostModel, Load};
 use rheem_core::error::{Result, RheemError};
 use rheem_core::exec::{dataset_bytes, ExecCtx, ExecutionOperator, OpMetrics};
+use rheem_core::kernels;
 use rheem_core::mapping::{Candidate, FnMapping};
 use rheem_core::plan::{LogicalOp, OperatorNode, RheemPlan};
 use rheem_core::platform::{ids, Platform, PlatformId};
@@ -32,39 +33,6 @@ pub fn parse_edges(data: &[Value]) -> Vec<(i64, i64)> {
     data.iter()
         .map(|e| (e.field(0).as_int().unwrap_or(0), e.field(1).as_int().unwrap_or(0)))
         .collect()
-}
-
-/// Reference single-threaded PageRank (the JGraph implementation; also the
-/// ground truth the engines are tested against).
-pub fn pagerank_reference(edges: &[(i64, i64)], iterations: u32, damping: f64) -> Vec<(i64, f64)> {
-    use std::collections::{HashMap, HashSet};
-    let mut out_deg: HashMap<i64, f64> = HashMap::new();
-    let mut incoming: HashMap<i64, Vec<i64>> = HashMap::new();
-    let mut vertices: Vec<i64> = Vec::new();
-    let mut seen = HashSet::new();
-    for &(s, d) in edges {
-        *out_deg.entry(s).or_default() += 1.0;
-        incoming.entry(d).or_default().push(s);
-        for v in [s, d] {
-            if seen.insert(v) {
-                vertices.push(v);
-            }
-        }
-    }
-    let n = vertices.len().max(1) as f64;
-    let mut rank: HashMap<i64, f64> = vertices.iter().map(|&v| (v, 1.0 / n)).collect();
-    for _ in 0..iterations {
-        let mut next = HashMap::with_capacity(rank.len());
-        for &v in &vertices {
-            let sum: f64 = incoming
-                .get(&v)
-                .map(|srcs| srcs.iter().map(|s| rank[s] / out_deg[s]).sum())
-                .unwrap_or(0.0);
-            next.insert(v, (1.0 - damping) / n + damping * sum);
-        }
-        rank = next;
-    }
-    vertices.iter().map(|&v| (v, rank[&v])).collect()
 }
 
 fn ranks_to_values(ranks: Vec<(i64, f64)>) -> Vec<Value> {
@@ -239,7 +207,11 @@ impl ExecutionOperator for JGraphPageRank {
         let damping = self.damping;
         let op_name: &dyn ExecutionOperator = self;
         ctx.timed_seq(op_name, data.len() as u64, || {
-            let out = ranks_to_values(pagerank_reference(&edges, iterations, damping));
+            let out = ranks_to_values(kernels::page_rank_pairs(
+                edges.iter().copied(),
+                iterations,
+                damping,
+            ));
             let n = out.len() as u64;
             Ok((ChannelData::Collection(Arc::new(out)), n))
         })
@@ -337,7 +309,7 @@ impl ExecutionOperator for GraphChiPageRank {
 
         // Compute (streaming the shards would re-read them each iteration;
         // we compute in memory but charge the re-reads to the clock).
-        let ranks = pagerank_reference(&edges, self.iterations, self.damping);
+        let ranks = kernels::page_rank_pairs(edges.iter().copied(), self.iterations, self.damping);
         let real_ms = start.elapsed().as_secs_f64() * 1000.0;
         let io_ms = profile.disk_ms(shard_bytes as f64) * (1.0 + self.iterations as f64);
         let virtual_ms = real_ms * profile.cpu_scale / profile.cores.max(1) as f64 + io_ms;
@@ -387,7 +359,7 @@ mod tests {
     fn all_three_engines_agree_with_reference() {
         let data = ring_edges(50);
         let edges = parse_edges(&data);
-        let reference = pagerank_reference(&edges, 10, 0.85);
+        let reference = kernels::page_rank_pairs(edges.iter().copied(), 10, 0.85);
         let profiles = rheem_core::platform::Profiles::paper_testbed();
         let bc = BroadcastCtx::new();
         for op in [

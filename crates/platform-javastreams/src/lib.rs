@@ -102,7 +102,9 @@ impl JavaOperator {
                 let b = inputs.get(1).copied().unwrap_or(&[]);
                 kernels::ineq_join_nested(a, b, conds)
             }
-            LogicalOp::PageRank { iterations, damping } => page_rank(a, *iterations, *damping),
+            LogicalOp::PageRank { iterations, damping } => {
+                kernels::page_rank(a, *iterations, *damping)
+            }
             other => {
                 return Err(RheemError::Unsupported(format!(
                     "JavaStreams cannot execute {:?}",
@@ -111,40 +113,6 @@ impl JavaOperator {
             }
         })
     }
-}
-
-/// Single-threaded PageRank over `(src, dst)` integer edge pairs — also the
-/// kernel the JGraph library analogue reuses.
-pub fn page_rank(edges: &[Value], iterations: u32, damping: f64) -> Vec<Value> {
-    use std::collections::HashMap;
-    let mut out_deg: HashMap<i64, f64> = HashMap::new();
-    let mut incoming: HashMap<i64, Vec<i64>> = HashMap::new();
-    let mut vertices: Vec<i64> = Vec::new();
-    let mut seen = std::collections::HashSet::new();
-    for e in edges {
-        let (s, d) = (e.field(0).as_int().unwrap_or(0), e.field(1).as_int().unwrap_or(0));
-        *out_deg.entry(s).or_default() += 1.0;
-        incoming.entry(d).or_default().push(s);
-        for v in [s, d] {
-            if seen.insert(v) {
-                vertices.push(v);
-            }
-        }
-    }
-    let n = vertices.len().max(1) as f64;
-    let mut rank: HashMap<i64, f64> = vertices.iter().map(|&v| (v, 1.0 / n)).collect();
-    for _ in 0..iterations {
-        let mut next: HashMap<i64, f64> = HashMap::with_capacity(rank.len());
-        for &v in &vertices {
-            let sum: f64 = incoming
-                .get(&v)
-                .map(|srcs| srcs.iter().map(|s| rank[s] / out_deg[s]).sum())
-                .unwrap_or(0.0);
-            next.insert(v, (1.0 - damping) / n + damping * sum);
-        }
-        rank = next;
-    }
-    vertices.iter().map(|&v| Value::pair(Value::from(v), Value::from(rank[&v]))).collect()
 }
 
 /// Default CPU cost (abstract cycles per input quantum) per operator kind on
@@ -574,28 +542,6 @@ mod tests {
         let result = ctx().execute(&plan).unwrap();
         let w = result.sink(sink).unwrap();
         assert_eq!(w[0].as_int(), Some(30)); // 3 iterations × 10
-    }
-
-    #[test]
-    fn pagerank_sums_to_one() {
-        let edges: Vec<Value> = [(0, 1), (1, 2), (2, 0), (0, 2)]
-            .iter()
-            .map(|&(s, d)| Value::pair(Value::from(s as i64), Value::from(d as i64)))
-            .collect();
-        let ranks = page_rank(&edges, 20, 0.85);
-        let total: f64 = ranks.iter().map(|r| r.field(1).as_f64().unwrap()).sum();
-        assert!((total - 1.0).abs() < 1e-6, "{total}");
-        // vertex 2 has two in-links, should outrank vertex 1
-        let rank_of = |v: i64| {
-            ranks
-                .iter()
-                .find(|r| r.field(0).as_int() == Some(v))
-                .unwrap()
-                .field(1)
-                .as_f64()
-                .unwrap()
-        };
-        assert!(rank_of(2) > rank_of(1));
     }
 
     #[test]

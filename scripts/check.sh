@@ -1,13 +1,14 @@
 #!/usr/bin/env sh
-# Repo gate: formatting, lints on the core crate, and the tier-1 suite.
+# Repo gate: formatting, workspace lints, and the tier-1 suite (every crate's
+# tests: the root manifest's default-members cover the whole workspace).
 # Run from the repo root: ./scripts/check.sh
 set -eu
 
 echo "== cargo fmt --check"
 cargo fmt --check
 
-echo "== cargo clippy -p rheem-core (deny warnings)"
-cargo clippy -p rheem-core --all-targets -- -D warnings
+echo "== cargo clippy --workspace (deny warnings)"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== tier-1: build + full test suite (adaptive scheduler)"
 cargo build --release

@@ -32,11 +32,10 @@
 pub use bigdansing;
 pub use dataciv;
 pub use ml4all;
-pub use platform_flink;
 pub use platform_graph;
 pub use platform_javastreams;
+pub use platform_partitioned;
 pub use platform_postgres;
-pub use platform_spark;
 pub use rheem_baselines as baselines;
 pub use rheem_core as core;
 pub use rheem_datagen as datagen;
@@ -54,8 +53,8 @@ use rheem_core::api::RheemContext;
 pub fn default_context() -> RheemContext {
     RheemContext::new()
         .with_platform(&platform_javastreams::JavaStreamsPlatform::new())
-        .with_platform(&platform_spark::SparkPlatform::new())
-        .with_platform(&platform_flink::FlinkPlatform::new())
+        .with_platform(&platform_partitioned::PartitionedPlatform::spark())
+        .with_platform(&platform_partitioned::PartitionedPlatform::flink())
 }
 
 /// A context with *every* platform of Fig. 5 registered, backed by the given

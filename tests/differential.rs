@@ -865,3 +865,208 @@ fn service_concurrent_submission_matches_sequential() {
         }
     }
 }
+
+// ---- conformance matrix: operator × input shape × platform × batch mode ----
+
+/// The four payload shapes an operator input can arrive in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Shape {
+    /// Rows, one collection: an opaque map on java.streams.
+    Collection,
+    /// Rows, partitioned: an opaque map on the consumer's partitioned engine.
+    Partitions,
+    /// Columns, one collection: a spec'd map on java.streams (batch mode).
+    Batches,
+    /// Columns, partitioned: a spec'd map on the consumer's partitioned
+    /// engine (batch mode).
+    BatchParts,
+}
+
+const SHAPES: [Shape; 4] =
+    [Shape::Collection, Shape::Partitions, Shape::Batches, Shape::BatchParts];
+
+/// The operators of the matrix: every two-input operator and every wide one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum MatrixOp {
+    Join,
+    Cartesian,
+    InequalityJoin,
+    Union,
+    ReduceBy,
+    GroupBy,
+    Distinct,
+    SortBy,
+    Count,
+    Reduce,
+}
+
+const TWO_INPUT: [MatrixOp; 4] =
+    [MatrixOp::Join, MatrixOp::Cartesian, MatrixOp::InequalityJoin, MatrixOp::Union];
+const WIDE: [MatrixOp; 6] = [
+    MatrixOp::ReduceBy,
+    MatrixOp::GroupBy,
+    MatrixOp::Distinct,
+    MatrixOp::SortBy,
+    MatrixOp::Count,
+    MatrixOp::Reduce,
+];
+
+/// `(key, value)` int pairs. Left inputs of the exchanging operators exceed
+/// one 8,192-row partition, so the partitioned engines exchange between
+/// several partitions; right inputs, and the inputs of the quadratic
+/// operators and Union, stay small to keep the matrix fast.
+fn matrix_inputs(op: MatrixOp) -> (Vec<Value>, Vec<Value>) {
+    let rows = |n: i64, salt: i64| -> Vec<Value> {
+        (0..n)
+            .map(|i| {
+                Value::pair(
+                    Value::from((i * 7 + salt) % 97),
+                    Value::from((i * 37 + salt) % 201 - 100),
+                )
+            })
+            .collect()
+    };
+    match op {
+        MatrixOp::Cartesian | MatrixOp::InequalityJoin | MatrixOp::Union => {
+            (rows(120, 1), rows(30, 5))
+        }
+        _ => (rows(9_000, 1), rows(30, 5)),
+    }
+}
+
+/// Feed `rows` to an operator on `consumer` so that they arrive in `shape`.
+/// The producing map is pinned to java.streams for the collection shapes and
+/// to the consumer's engine for the partitioned ones (spark when the
+/// consumer is java.streams, whose input then arrives through a collect).
+/// The columnar shapes use the spec'd map, which compiles to a vector
+/// kernel; the row shapes strip the spec, leaving the same closure.
+fn arrive(b: &mut PlanBuilder, rows: Vec<Value>, shape: Shape, consumer: PlatformId) -> DataQuanta {
+    let mut bump = MapUdf::field_add_int("bump", 1, 3);
+    if matches!(shape, Shape::Collection | Shape::Partitions) {
+        bump.spec = None;
+    }
+    let producer = match shape {
+        Shape::Collection | Shape::Batches => ids::JAVA_STREAMS,
+        _ if consumer == ids::JAVA_STREAMS => ids::SPARK,
+        _ => consumer,
+    };
+    b.collection(rows).map(bump).with_target_platform(producer)
+}
+
+fn apply_matrix_op(op: MatrixOp, left: &DataQuanta, right: Option<&DataQuanta>) -> DataQuanta {
+    let right = || right.expect("two-input operator has a right input");
+    match op {
+        MatrixOp::Join => left.join(right(), KeyUdf::field(0), KeyUdf::field(0)),
+        MatrixOp::Cartesian => left.cartesian(right()),
+        MatrixOp::InequalityJoin => left.inequality_join(
+            right(),
+            vec![IneqCond { left_field: 1, op: CmpOp::Lt, right_field: 1 }],
+        ),
+        MatrixOp::Union => left.union(right()),
+        MatrixOp::ReduceBy => left.reduce_by_key(KeyUdf::field(0), ReduceUdf::pair_int_sum("sum")),
+        MatrixOp::GroupBy => left.group_by(KeyUdf::field(0)),
+        MatrixOp::Distinct => left.distinct(),
+        MatrixOp::SortBy => left.sort_by(KeyUdf::field(0)),
+        MatrixOp::Count => left.count(),
+        MatrixOp::Reduce => left.reduce(ReduceUdf::pair_int_sum("sum")),
+    }
+}
+
+/// Run `op` on `consumer` with its inputs arriving in `shapes`. Fusion is
+/// off so the producing maps stay separate operators and their output
+/// really crosses a channel. The output is sorted, except after SortBy,
+/// whose order is part of the answer.
+fn run_matrix_case(
+    op: MatrixOp,
+    shapes: &[Shape],
+    consumer: PlatformId,
+    batch: bool,
+) -> Result<Vec<Value>> {
+    let (l, r) = matrix_inputs(op);
+    let mut b = PlanBuilder::new();
+    let left = arrive(&mut b, l, shapes[0], consumer);
+    let right = shapes.get(1).map(|&s| arrive(&mut b, r, s, consumer));
+    let sink = apply_matrix_op(op, &left, right.as_ref()).with_target_platform(consumer).collect();
+    let plan = b.build().unwrap();
+    let result = rheem::default_context().with_batch(batch).with_fusion(false).execute(&plan)?;
+    let mut out = result.sink(sink)?.to_vec();
+    if op != MatrixOp::SortBy {
+        out.sort();
+    }
+    Ok(out)
+}
+
+/// Every two-input and wide operator, with each input slot arriving in each
+/// payload shape, computes the java.streams row answer on java.streams,
+/// spark and flink, with batch execution on and off.
+#[test]
+fn conformance_matrix_op_shape_platform_batch() {
+    let mut failures = Vec::new();
+    let mut cases = 0;
+    for op in TWO_INPUT.into_iter().chain(WIDE) {
+        let slots = if TWO_INPUT.contains(&op) { 2 } else { 1 };
+        let reference =
+            run_matrix_case(op, &[Shape::Collection; 2][..slots], ids::JAVA_STREAMS, false)
+                .unwrap_or_else(|e| panic!("{op:?}: java.streams row reference failed: {e}"));
+        assert!(!reference.is_empty(), "{op:?}: empty reference");
+        let shape_sets: Vec<Vec<Shape>> = if slots == 2 {
+            SHAPES.iter().flat_map(|&l| SHAPES.iter().map(move |&r| vec![l, r])).collect()
+        } else {
+            SHAPES.iter().map(|&s| vec![s]).collect()
+        };
+        for shapes in &shape_sets {
+            for consumer in PLATFORMS {
+                for batch in [true, false] {
+                    cases += 1;
+                    let case = format!("{op:?} {shapes:?} on {consumer:?} (batch={batch})");
+                    match run_matrix_case(op, shapes, consumer, batch) {
+                        Ok(out) if out == reference => {}
+                        Ok(out) => failures.push(format!(
+                            "{case}: {} rows differ from the {}-row reference",
+                            out.len(),
+                            reference.len()
+                        )),
+                        Err(e) => failures.push(format!("{case}: {e}")),
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(cases, (4 * 16 + 6 * 4) * 3 * 2);
+    assert!(
+        failures.is_empty(),
+        "{} of {cases} cases failed:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
+}
+
+/// The matrix's shapes are real: in batch mode the spec'd producers run
+/// vectorized and the opaque ones do not, on the platform `arrive` pins.
+#[test]
+fn conformance_matrix_shapes_come_from_the_pinned_producer() {
+    for consumer in PLATFORMS {
+        for shape in SHAPES {
+            let mut b = PlanBuilder::new();
+            let rows = matrix_inputs(MatrixOp::Count).0;
+            arrive(&mut b, rows, shape, consumer).count().with_target_platform(consumer).collect();
+            let plan = b.build().unwrap();
+            let analysis = rheem::default_context()
+                .with_batch(true)
+                .with_fusion(false)
+                .explain_analyze(&plan)
+                .unwrap();
+            let producer =
+                analysis.rows.iter().find(|r| r.label.contains("bump")).expect("map row");
+            let columnar = matches!(shape, Shape::Batches | Shape::BatchParts);
+            let on_engine = matches!(shape, Shape::Partitions | Shape::BatchParts);
+            assert_eq!(producer.vec_steps > 0, columnar, "{shape:?} on {consumer:?}: {producer:?}");
+            assert_eq!(
+                producer.platform != ids::JAVA_STREAMS.0,
+                on_engine,
+                "{shape:?} on {consumer:?}: produced on {}",
+                producer.platform
+            );
+        }
+    }
+}

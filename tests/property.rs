@@ -312,7 +312,7 @@ fn columnar_reduce_exchange_matches_row_exchange() {
             .iter()
             .map(|c| Arc::new(kernels::combine_by(c, &KeyUdf::field(0), &agg)))
             .collect();
-        let (ex, _) = platform_spark::shuffle(&combined, &KeyUdf::field(0), n);
+        let (ex, _) = platform_partitioned::shuffle(&combined, &KeyUdf::field(0), n);
         let row_out: Vec<Vec<Value>> = ex.iter().map(|p| kernels::merge_by(p, &agg)).collect();
         // Columnar path: slot-array combine, batch partition, slot merge.
         let spec = agg.spec.clone().expect("pair_int_sum is spec'd");
@@ -403,8 +403,8 @@ fn join_buckets_matches_row_hash_join() {
             right.chunks(right.len().div_ceil(n).max(1)).map(|c| Arc::new(c.to_vec())).collect();
         let key = KeyUdf::field(0);
         // Row reference: hash exchange both sides, per-partition hash join.
-        let (le, _) = platform_spark::shuffle(&lchunks, &key, n);
-        let (re, _) = platform_spark::shuffle(&rchunks, &key, n);
+        let (le, _) = platform_partitioned::shuffle(&lchunks, &key, n);
+        let (re, _) = platform_partitioned::shuffle(&rchunks, &key, n);
         let row_out: Vec<Vec<Value>> =
             le.iter().zip(&re).map(|(l, r)| kernels::hash_join(l, r, &key, &key)).collect();
         // Columnar path: partition each input batch, join per bucket.
@@ -500,7 +500,7 @@ fn shuffle_reduce_matches_sequential() {
             .iter()
             .map(|c| Arc::new(kernels::reduce_by(c, &KeyUdf::field(0), &sum_udf())))
             .collect();
-        let (exchanged, _) = platform_spark::shuffle(&combined, &KeyUdf::field(0), parts);
+        let (exchanged, _) = platform_partitioned::shuffle(&combined, &KeyUdf::field(0), parts);
         let mut dist: Vec<Value> = exchanged
             .iter()
             .flat_map(|p| kernels::reduce_by(p, &KeyUdf::field(0), &sum_udf()))
@@ -592,12 +592,12 @@ fn movement_tree_serves_all_consumers() {
         let graph = ConversionGraph::from_registry(ctx.registry());
         let consumers = vec![
             vec![kinds::COLLECTION],
-            vec![platform_spark::RDD, platform_spark::RDD_CACHED],
-            vec![platform_flink::DATASET],
+            vec![platform_partitioned::RDD, platform_partitioned::RDD_CACHED],
+            vec![platform_partitioned::DATASET],
         ];
         let plan = graph
             .best_tree(
-                platform_spark::RDD,
+                platform_partitioned::RDD,
                 &consumers,
                 card,
                 64.0,
@@ -682,12 +682,12 @@ fn fair_share_respects_weight_ratios_with_stage_granularity() {
         let mut jobs = Vec::new();
         let mut submitted = vec![0.0f64; tenants];
         let mut max_job = 0.0f64;
-        for t in 0..tenants {
+        for (t, sub) in submitted.iter_mut().enumerate() {
             for _ in 0..6 {
                 let stages: Vec<f64> =
                     (0..1 + rng.range_usize(4)).map(|_| 1.0 + rng.next_f64() * 9.0).collect();
                 let total: f64 = stages.iter().sum();
-                submitted[t] += total;
+                *sub += total;
                 max_job = max_job.max(total);
                 jobs.push(SimJob { tenant: t, arrival_ms: 0.0, stages });
             }
@@ -703,12 +703,10 @@ fn fair_share_respects_weight_ratios_with_stage_granularity() {
         assert_eq!(outcome.makespan_ms, replay.makespan_ms);
 
         // Conservation: each tenant is served exactly the work it submitted.
-        for t in 0..tenants {
+        for (t, (served, sub)) in outcome.served_ms.iter().zip(&submitted).enumerate() {
             assert!(
-                (outcome.served_ms[t] - submitted[t]).abs() < 1e-6,
-                "case {case}: tenant {t} served {} of submitted {}",
-                outcome.served_ms[t],
-                submitted[t]
+                (served - sub).abs() < 1e-6,
+                "case {case}: tenant {t} served {served} of submitted {sub}"
             );
         }
         let last = outcome.completion_ms.iter().cloned().fold(0.0f64, f64::max);

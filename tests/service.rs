@@ -420,6 +420,9 @@ fn short_job_is_not_starved_behind_long_critical_path() {
 
 // ---- 5. chaos determinism under concurrent load ---------------------------
 
+/// One job's outcome: its answer and retry count, or the typed error.
+type Outcome = Result<(Vec<Value>, u32)>;
+
 /// Under the fixed chaos-seed matrix, each job's outcome — the answer (or
 /// the typed error) and its retry count — is byte-reproducible when the
 /// same jobs run concurrently on a busy service: fault plans resolve once
@@ -430,7 +433,7 @@ fn chaos_outcomes_reproduce_under_concurrent_load() {
     const JOBS: usize = 3;
     for &chaos_seed in &CHAOS_SEEDS {
         // Isolated baselines: outcome + per-job retry count.
-        let mut baseline: Vec<Vec<Result<(Vec<Value>, u32)>>> = Vec::new();
+        let mut baseline: Vec<Vec<Outcome>> = Vec::new();
         for t in 0..TENANTS {
             let mut per_tenant = Vec::new();
             for j in 0..JOBS {
@@ -450,7 +453,7 @@ fn chaos_outcomes_reproduce_under_concurrent_load() {
             (0..TENANTS).map(|t| TenantSpec::new(&tenant_name(t))).collect();
         let service = JobService::new(ctx, ServiceConfig::default(), tenants).unwrap();
 
-        let outcomes: Vec<Vec<Result<(Vec<Value>, u32)>>> = std::thread::scope(|s| {
+        let outcomes: Vec<Vec<Outcome>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..TENANTS)
                 .map(|t| {
                     let service = &service;
