@@ -1,6 +1,7 @@
 //! Quick end-to-end benchmark: WordCount, SGD and CrocoPR at a small fixed
 //! scale, real wall-clock milliseconds, written to `BENCH_PR1.json` at the
-//! repo root (plus stdout). Used to track the reproduction's own execution
+//! repo root (plus stdout). Stdout also gives each task's median
+//! `optimize()` wall time and its share of the median `execute()`. Used to track the reproduction's own execution
 //! performance across PRs — virtual cluster time is reported separately by
 //! the `fig*` binaries.
 //!
@@ -11,6 +12,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use rheem_bench::{community_files, corpus_file, default_context, graph_context, wordcount_plan};
+use rheem_core::api::RheemContext;
+use rheem_core::plan::RheemPlan;
 
 struct Entry {
     task: &'static str,
@@ -19,21 +22,52 @@ struct Entry {
     iters: u32,
 }
 
-fn measure(task: &'static str, iters: u32, mut f: impl FnMut()) -> Entry {
-    f(); // warm-up
-    let mut total = 0.0;
-    let mut min = f64::INFINITY;
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    let n = v.len();
+    if n % 2 == 1 {
+        v[n / 2]
+    } else {
+        (v[n / 2 - 1] + v[n / 2]) / 2.0
+    }
+}
+
+fn ms_since(t: Instant) -> f64 {
+    t.elapsed().as_secs_f64() * 1000.0
+}
+
+/// Time `iters` executions of `plan` after one warm-up. Each iteration also
+/// times `optimize()` alone, so the optimizer's share of a job is printed
+/// next to the job's own latency.
+fn measure(task: &'static str, iters: u32, ctx: &RheemContext, plan: &RheemPlan) -> Entry {
+    ctx.execute(plan).unwrap(); // warm-up
+    let mut exec = Vec::new();
+    let mut opt = Vec::new();
     for _ in 0..iters {
         let t = Instant::now();
-        f();
-        let ms = t.elapsed().as_secs_f64() * 1000.0;
-        total += ms;
-        min = min.min(ms);
+        ctx.optimize(plan).unwrap();
+        opt.push(ms_since(t));
+        let t = Instant::now();
+        ctx.execute(plan).unwrap();
+        exec.push(ms_since(t));
     }
-    let e = Entry { task, mean_ms: total / iters as f64, min_ms: min, iters };
+    let e = Entry {
+        task,
+        mean_ms: exec.iter().sum::<f64>() / iters as f64,
+        min_ms: exec.iter().copied().fold(f64::INFINITY, f64::min),
+        iters,
+    };
+    let (opt_med, exec_med) = (median(opt), median(exec));
     println!(
-        "{:<12} {:>9.2} ms mean  {:>9.2} ms min  ({} iters)",
-        e.task, e.mean_ms, e.min_ms, e.iters
+        "{:<12} {:>9.2} ms mean  {:>9.2} ms min  ({} iters)  optimize {:>7.2} ms median, \
+         {:>5.1}% of execute's {:.2} ms median",
+        e.task,
+        e.mean_ms,
+        e.min_ms,
+        e.iters,
+        opt_med,
+        100.0 * opt_med / exec_med,
+        exec_med
     );
     e
 }
@@ -45,10 +79,7 @@ fn main() {
     {
         let path = corpus_file("quick_wc", 256, 5);
         let (plan, _) = wordcount_plan(&path).unwrap();
-        let ctx = default_context();
-        entries.push(measure("wordcount", 10, || {
-            ctx.execute(&plan).unwrap();
-        }));
+        entries.push(measure("wordcount", 10, &default_context(), &plan));
     }
 
     // SGD: 10k points, 4 features, 15 iterations.
@@ -57,20 +88,14 @@ fn main() {
         let cfg = ml4all::SgdConfig { iterations: 15, batch: 64, ..Default::default() };
         let (plan, _) =
             ml4all::build_sgd_plan(ml4all::PointSource::InMemory(points), &cfg).unwrap();
-        let ctx = default_context();
-        entries.push(measure("sgd", 10, || {
-            ctx.execute(&plan).unwrap();
-        }));
+        entries.push(measure("sgd", 10, &default_context(), &plan));
     }
 
     // CrocoPR: ~10k edges, 5 PageRank iterations.
     {
         let (fa, fb) = community_files("quick_cpr", 10_000, 5);
         let (plan, _) = xdb::build_crocopr_plan(xdb::CrocoSource::Files(fa, fb), 5).unwrap();
-        let ctx = graph_context();
-        entries.push(measure("crocopr", 10, || {
-            ctx.execute(&plan).unwrap();
-        }));
+        entries.push(measure("crocopr", 10, &graph_context(), &plan));
     }
 
     let mut json = String::from(

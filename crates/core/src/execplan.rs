@@ -14,7 +14,7 @@ use crate::channel::ChannelKind;
 use crate::cost::CostModel;
 use crate::error::{Result, RheemError};
 use crate::exec::ExecutionOperator;
-use crate::movement::{ConvNode, ConversionGraph};
+use crate::movement::{check_fanout, ConvNode, ConversionGraph};
 use crate::optimizer::OptimizedPlan;
 use crate::plan::{LogicalOp, OperatorId, RheemPlan};
 use crate::platform::{PlatformId, Profiles};
@@ -271,6 +271,7 @@ pub fn build_exec_plan(
         for (region, edge_idxs) in group_list {
             let kind_sets: Vec<Vec<ChannelKind>> =
                 edge_idxs.iter().map(|&i| edges[i].kinds.clone()).collect();
+            check_fanout(kind_sets.len(), &plan.node(p).label())?;
             let tree = graph
                 .best_tree(out_kind, &kind_sets, card, avg_bytes, profiles, model)
                 .ok_or_else(|| {
@@ -607,5 +608,73 @@ mod tests {
             assert!(text.contains(&format!("stage {}", s.id)));
         }
         assert!(!eplan.platforms().is_empty());
+    }
+
+    /// One collection feeding `n` maps, each collected.
+    fn fan_out_plan(n: usize) -> RheemPlan {
+        let mut b = PlanBuilder::new();
+        let src = b.collection(vec![Value::from(1)]);
+        for _ in 0..n {
+            src.map(MapUdf::new("m", |v| v.clone())).collect();
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn fan_out_past_the_movement_limit_is_a_typed_error() {
+        use crate::movement::MAX_CONSUMERS;
+        // The limit itself works: `tests/cross_platform.rs` runs a 16-way
+        // fan-out end to end.
+        let ctx = test_ctx();
+        let plan = fan_out_plan(MAX_CONSUMERS + 1);
+        let limit = format!("up to {MAX_CONSUMERS}");
+        match ctx.optimize(&plan) {
+            Err(RheemError::Optimizer(m)) => assert!(m.contains(&limit), "{m}"),
+            other => panic!("expected an optimizer error, got {:?}", other.err()),
+        }
+        // The enumerator never hands such a plan on; build_exec_plan still
+        // checks a hand-assembled one.
+        let mut candidates = Vec::new();
+        let mut choice = Vec::new();
+        for node in plan.operators() {
+            choice.push(candidates.len());
+            candidates.push(ctx.registry().candidates_for(&plan, node).remove(0));
+        }
+        let opt = OptimizedPlan {
+            candidates,
+            choice,
+            estimates: crate::cardinality::Estimator::new().estimate(&plan).unwrap(),
+            est_ms: 0.0,
+            est_interval: crate::cost::Interval::point(0.0),
+            platforms: Vec::new(),
+            stats: Default::default(),
+        };
+        match build_exec_plan(&plan, &opt, ctx.registry(), ctx.profiles(), ctx.cost_model()) {
+            Err(RheemError::Optimizer(m)) => assert!(m.contains(&limit), "{m}"),
+            Err(e) => panic!("expected an optimizer error, got {e}"),
+            Ok(_) => panic!("expected an optimizer error, got a plan"),
+        }
+    }
+
+    #[test]
+    fn too_many_platforms_is_a_typed_error() {
+        let mut ctx = RheemContext::new();
+        ctx.registry_mut().add_mapping(Arc::new(FnMapping(
+            |_p: &RheemPlan, n: &crate::plan::OperatorNode| match n.op.kind() {
+                OpKind::Map => (0..33)
+                    .map(|i| {
+                        let p = PlatformId(Box::leak(format!("tp{i}").into_boxed_str()));
+                        Candidate::single(n.id, Arc::new(TestOp("TMap", p)) as _)
+                    })
+                    .collect(),
+                _ => vec![],
+            },
+        )));
+        let mut b = PlanBuilder::new();
+        b.collection(vec![Value::from(1)]).map(MapUdf::new("m", |v| v.clone())).collect();
+        match ctx.optimize(&b.build().unwrap()) {
+            Err(RheemError::Optimizer(m)) => assert!(m.contains("up to 32"), "{m}"),
+            other => panic!("expected an optimizer error, got {:?}", other.err()),
+        }
     }
 }

@@ -1420,10 +1420,13 @@ impl<'a> Executor<'a> {
                 phase: 0, // stamped by Monitor::record
                 superseded: false,
             };
+            // Input tuples, not virtual ms: the watchdog's straggler rule
+            // must decide the same way on any host and under any load.
+            let tuples: u64 = run.ops.iter().map(|m| m.in_card).sum();
             self.record_event(
                 crate::obs::EventKind::StageCommitted,
                 Some(stage as u64),
-                run.virtual_ms,
+                tuples as f64,
                 &run.platform.to_string(),
             );
             st.run_virtual_ms = 0.0;

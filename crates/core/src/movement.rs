@@ -14,6 +14,7 @@ use std::sync::Arc;
 
 use crate::channel::ChannelKind;
 use crate::cost::CostModel;
+use crate::error::{Result, RheemError};
 use crate::platform::Profiles;
 use crate::registry::{Conversion, Registry};
 
@@ -85,6 +86,30 @@ enum Back {
     None,
 }
 
+/// Most consumers one conversion tree serves: the solver's subset DP is
+/// exponential in the consumer count.
+pub const MAX_CONSUMERS: usize = 16;
+
+/// A typed error for a producer whose conversion tree would serve more
+/// than [`MAX_CONSUMERS`] consumers.
+pub(crate) fn check_fanout(consumers: usize, producer: &str) -> Result<()> {
+    if consumers > MAX_CONSUMERS {
+        return Err(RheemError::Optimizer(format!(
+            "{producer} feeds {consumers} consumers through channel conversions; \
+             the movement planner supports up to {MAX_CONSUMERS}"
+        )));
+    }
+    Ok(())
+}
+
+/// One finite solve: the tree's cost and the DP back-pointers, row-major
+/// by consumer subset, that rebuild it.
+struct Solved {
+    cost: f64,
+    back: Vec<Back>,
+    k: usize,
+}
+
 /// The channel conversion graph with solver.
 pub struct ConversionGraph {
     kinds: Vec<ChannelKind>,
@@ -127,24 +152,34 @@ impl ConversionGraph {
         self.kinds.len()
     }
 
-    /// Estimated virtual ms of one conversion for `card` quanta of
-    /// `avg_bytes` each.
-    fn edge_cost(
+    /// Estimated virtual ms of every conversion (indexed like the graph's
+    /// conversion edges) for `card` quanta of `avg_bytes` each. Weights
+    /// depend only on the data, not on which consumers a tree serves, so a
+    /// caller solving many trees for one producer computes them once.
+    pub(crate) fn edge_weights(
         &self,
-        conv: usize,
         card: f64,
         avg_bytes: f64,
         profiles: &Profiles,
-        _model: &CostModel,
-    ) -> f64 {
-        let op = &self.conversions[conv].op;
-        let load = op.load(&[card], avg_bytes, _model);
-        load.to_ms(profiles.get(op.platform())) + 0.01 // epsilon: prefer fewer hops
+        model: &CostModel,
+    ) -> Vec<f64> {
+        self.conversions
+            .iter()
+            .map(|c| {
+                let load = c.op.load(&[card], avg_bytes, model);
+                load.to_ms(profiles.get(c.op.platform())) + 0.01 // epsilon: prefer fewer hops
+            })
+            .collect()
     }
 
     /// Solve the minimal-conversion-tree problem: the producer emits
     /// `from`; consumer `i` accepts any kind in `consumers[i]`. Returns
     /// `None` when some consumer is unreachable.
+    ///
+    /// # Panics
+    ///
+    /// With more than [`MAX_CONSUMERS`] consumers. The optimizer checks the
+    /// fan-out first and reports it as a typed error.
     pub fn best_tree(
         &self,
         from: ChannelKind,
@@ -154,34 +189,54 @@ impl ConversionGraph {
         profiles: &Profiles,
         model: &CostModel,
     ) -> Option<MovementPlan> {
-        let c = consumers.len();
-        assert!(c <= 16, "movement planner supports up to 16 consumers");
         let root = *self.kind_idx.get(&from)?;
-        let k = self.kinds.len();
-        if c == 0 {
+        if consumers.is_empty() {
             return Some(MovementPlan {
                 tree: ConvNode { kind: from, deliver: vec![], children: vec![] },
                 cost_ms: 0.0,
             });
         }
+        let w = self.edge_weights(card, avg_bytes, profiles, model);
+        let solved = self.solve(root, consumers, &w)?;
+        let tree = self.rebuild(&solved, (1 << consumers.len()) - 1, root);
+        Some(MovementPlan { tree, cost_ms: solved.cost })
+    }
 
+    /// The cost [`ConversionGraph::best_tree`] would return, from weights
+    /// precomputed by [`ConversionGraph::edge_weights`], without building
+    /// the tree. Same DP, same summation order: bit-identical costs.
+    pub(crate) fn tree_cost(
+        &self,
+        from: ChannelKind,
+        consumers: &[Vec<ChannelKind>],
+        weights: &[f64],
+    ) -> Option<f64> {
+        let root = *self.kind_idx.get(&from)?;
+        if consumers.is_empty() {
+            return Some(0.0);
+        }
+        Some(self.solve(root, consumers, weights)?.cost)
+    }
+
+    /// Dreyfus–Wagner subset DP over consumer sets, rooted anywhere;
+    /// `None` when the full set is unreachable from `root`.
+    fn solve(&self, root: usize, consumers: &[Vec<ChannelKind>], w: &[f64]) -> Option<Solved> {
+        let c = consumers.len();
+        assert!(c <= MAX_CONSUMERS, "movement planner supports up to {MAX_CONSUMERS} consumers");
+        let k = self.kinds.len();
         let full = (1usize << c) - 1;
-        let mut dp = vec![vec![f64::INFINITY; k]; full + 1];
-        let mut back = vec![vec![Back::None; k]; full + 1];
-
-        // Pre-compute edge costs once (they depend only on card/bytes).
-        let w: Vec<f64> = (0..self.conversions.len())
-            .map(|e| self.edge_cost(e, card, avg_bytes, profiles, model))
-            .collect();
+        let mut dp = vec![f64::INFINITY; (full + 1) * k];
+        let mut back = vec![Back::None; (full + 1) * k];
 
         for s in 1..=full {
+            let row = s * k;
             // Singleton bases.
             if s.count_ones() == 1 {
                 let i = s.trailing_zeros() as usize;
                 for (vi, kind) in self.kinds.iter().enumerate() {
                     if consumers[i].contains(kind) {
-                        dp[s][vi] = 0.0;
-                        back[s][vi] = Back::Leaf(i);
+                        dp[row + vi] = 0.0;
+                        back[row + vi] = Back::Leaf(i);
                     }
                 }
             }
@@ -198,10 +253,10 @@ impl ConversionGraph {
                     if !self.reusable[vi] {
                         continue;
                     }
-                    let cost = dp[s1][vi] + dp[s2][vi];
-                    if cost < dp[s][vi] {
-                        dp[s][vi] = cost;
-                        back[s][vi] = Back::Merge { s1 };
+                    let cost = dp[s1 * k + vi] + dp[s2 * k + vi];
+                    if cost < dp[row + vi] {
+                        dp[row + vi] = cost;
+                        back[row + vi] = Back::Merge { s1 };
                     }
                 }
                 s1 = (s1 - 1) & s;
@@ -211,10 +266,10 @@ impl ConversionGraph {
                 let mut changed = false;
                 for vi in 0..k {
                     for &(to, conv) in &self.edges[vi] {
-                        let cost = dp[s][to] + w[conv];
-                        if cost + 1e-12 < dp[s][vi] {
-                            dp[s][vi] = cost;
-                            back[s][vi] = Back::Edge { to, conv };
+                        let cost = dp[row + to] + w[conv];
+                        if cost + 1e-12 < dp[row + vi] {
+                            dp[row + vi] = cost;
+                            back[row + vi] = Back::Edge { to, conv };
                             changed = true;
                         }
                     }
@@ -225,18 +280,15 @@ impl ConversionGraph {
             }
         }
 
-        if !dp[full][root].is_finite() {
-            return None;
-        }
-        let tree = self.rebuild(&back, full, root);
-        Some(MovementPlan { tree, cost_ms: dp[full][root] })
+        let cost = dp[full * k + root];
+        cost.is_finite().then_some(Solved { cost, back, k })
     }
 
-    fn rebuild(&self, back: &[Vec<Back>], s: usize, v: usize) -> ConvNode {
-        match back[s][v] {
+    fn rebuild(&self, solved: &Solved, s: usize, v: usize) -> ConvNode {
+        match solved.back[s * solved.k + v] {
             Back::Leaf(i) => ConvNode { kind: self.kinds[v], deliver: vec![i], children: vec![] },
             Back::Edge { to, conv } => {
-                let child = self.rebuild(back, s, to);
+                let child = self.rebuild(solved, s, to);
                 ConvNode {
                     kind: self.kinds[v],
                     deliver: vec![],
@@ -244,8 +296,8 @@ impl ConversionGraph {
                 }
             }
             Back::Merge { s1 } => {
-                let a = self.rebuild(back, s1, v);
-                let b = self.rebuild(back, s & !s1, v);
+                let a = self.rebuild(solved, s1, v);
+                let b = self.rebuild(solved, s & !s1, v);
                 ConvNode {
                     kind: self.kinds[v],
                     deliver: a.deliver.into_iter().chain(b.deliver).collect(),
@@ -424,5 +476,31 @@ mod tests {
         let large =
             g.best_path_cost(RDD, &[kinds::COLLECTION], 10_000.0, 64.0, &profiles, &model).unwrap();
         assert!(large > small);
+    }
+
+    #[test]
+    fn tree_cost_matches_best_tree_bit_for_bit() {
+        let r = test_registry();
+        let g = ConversionGraph::from_registry(&r);
+        let (profiles, model) = (Profiles::bare(), CostModel::new());
+        let consumer_sets = [
+            vec![vec![RDD]],
+            vec![vec![kinds::COLLECTION]],
+            vec![vec![RDD], vec![RDD]],
+            vec![vec![kinds::COLLECTION], vec![RDD], vec![RDD_CACHED]],
+            vec![vec![ChannelKind("mars.rover")]],
+        ];
+        for card in [1.0, 100.0, 12_345.0] {
+            let w = g.edge_weights(card, 64.0, &profiles, &model);
+            for consumers in &consumer_sets {
+                let tree = g.best_tree(RDD, consumers, card, 64.0, &profiles, &model);
+                let cost = g.tree_cost(RDD, consumers, &w);
+                assert_eq!(
+                    tree.map(|t| t.cost_ms.to_bits()),
+                    cost.map(f64::to_bits),
+                    "{consumers:?} at {card}"
+                );
+            }
+        }
     }
 }

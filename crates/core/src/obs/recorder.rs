@@ -102,8 +102,8 @@ pub struct Event {
     pub job: Option<u64>,
     /// Stage id, for stage-scoped events.
     pub stage: Option<u64>,
-    /// Kind-specific magnitude (virtual ms for stage commits, wait ms for
-    /// job starts, bytes for cache events, attempt count for retries).
+    /// Kind-specific magnitude (input tuples for stage commits, wait ms
+    /// for job starts, bytes for cache events, attempt count for retries).
     pub value: f64,
     /// Free-form detail (platform name, fault kind, diagnosis text).
     pub detail: String,

@@ -12,9 +12,11 @@
 //!   by more than `starvation_lag_ms`: it has queued work but the scheduler
 //!   keeps (correctly or not) serving cheaper tenants.
 //! - **Straggler stage** — within one completed job, a committed stage
-//!   whose virtual duration exceeds `straggler_factor ×` the median of its
-//!   sibling stages (and `straggler_min_ms`, to ignore trivially small
-//!   jobs). Needs at least two siblings for a meaningful median.
+//!   that consumed more than `straggler_factor ×` the median input tuples
+//!   of its sibling stages (and at least `straggler_min_tuples`, to ignore
+//!   trivially small jobs). Needs at least two siblings for a meaningful
+//!   median. Tuple counts, unlike stage times, do not depend on host speed
+//!   or load, so the same job is flagged the same way on every run.
 //! - **Cache thrash** — evictions/inserts ratio over the sweep window
 //!   above `thrash_ratio` with at least `thrash_min_inserts` inserts: the
 //!   cache budget is too small for the working set and entries churn.
@@ -34,10 +36,10 @@ pub struct WatchdogConfig {
     pub cadence_ms: f64,
     /// Normalized vtime lag beyond which a backlogged tenant is starved.
     pub starvation_lag_ms: f64,
-    /// Stage duration multiple of the sibling median that flags a straggler.
+    /// Multiple of the sibling median input tuples that flags a straggler.
     pub straggler_factor: f64,
-    /// Ignore stages shorter than this many virtual ms.
-    pub straggler_min_ms: f64,
+    /// Ignore stages that consumed fewer input tuples than this.
+    pub straggler_min_tuples: u64,
     /// Evictions-per-insert ratio (over a sweep window) that flags thrash.
     pub thrash_ratio: f64,
     /// Minimum inserts in the window before thrash is considered.
@@ -50,7 +52,7 @@ impl Default for WatchdogConfig {
             cadence_ms: 50.0,
             starvation_lag_ms: 1_000.0,
             straggler_factor: 4.0,
-            straggler_min_ms: 5.0,
+            straggler_min_tuples: 10_000,
             thrash_ratio: 0.5,
             thrash_min_inserts: 16,
         }
@@ -89,7 +91,7 @@ pub enum Diagnosis {
         /// How far its vtime lags the minimum active vtime (virtual ms).
         lag_ms: f64,
     },
-    /// A stage ran far longer than its siblings within one job.
+    /// A stage consumed far more input than its siblings within one job.
     Straggler {
         /// Owning tenant, when known.
         tenant: Option<String>,
@@ -97,10 +99,10 @@ pub enum Diagnosis {
         job: u64,
         /// The straggler stage.
         stage: u64,
-        /// The stage's virtual ms.
-        ms: f64,
-        /// Median virtual ms of its sibling stages.
-        median_ms: f64,
+        /// Input tuples the stage consumed.
+        tuples: f64,
+        /// Median input tuples of its sibling stages.
+        median_tuples: f64,
     },
     /// Cache evictions churn against inserts.
     CacheThrash {
@@ -121,7 +123,8 @@ struct WdState {
     last_inserts: u64,
     /// Cache evictions at the previous sweep.
     last_evictions: u64,
-    /// Committed stages per not-yet-completed job: job → (stage, ms, tenant).
+    /// Committed stages per not-yet-completed job: job → (stage, input
+    /// tuples, tenant).
     pending: BTreeMap<u64, Vec<(u64, f64, Option<String>)>>,
     /// (job, stage) pairs already flagged, so re-sweeps don't double-count.
     flagged: HashSet<(u64, u64)>,
@@ -259,7 +262,7 @@ impl Watchdog {
                         "starvation: vtime lag beyond bound",
                     );
                 }
-                Diagnosis::Straggler { tenant, job, stage, ms, median_ms } => {
+                Diagnosis::Straggler { tenant, job, stage, tuples, median_tuples } => {
                     let t = tenant.as_deref().unwrap_or("unknown");
                     metrics.inc(&format!("rheem_watchdog_straggler_total{{tenant=\"{t}\"}}"), 1);
                     recorder.record(
@@ -267,8 +270,8 @@ impl Watchdog {
                         tenant.as_deref(),
                         Some(*job),
                         Some(*stage),
-                        *ms,
-                        &format!("straggler: {ms:.3}ms vs sibling median {median_ms:.3}ms"),
+                        *tuples,
+                        &format!("straggler: {tuples} tuples vs sibling median {median_tuples}"),
                     );
                 }
                 Diagnosis::CacheThrash { ratio, evictions, inserts } => {
@@ -299,21 +302,21 @@ fn stragglers_in(
     if stages.len() < 3 {
         return out; // need >= 2 siblings for a meaningful median
     }
-    for (i, (stage, ms, tenant)) in stages.iter().enumerate() {
-        if *ms < cfg.straggler_min_ms {
+    for (i, (stage, tuples, tenant)) in stages.iter().enumerate() {
+        if *tuples < cfg.straggler_min_tuples as f64 {
             continue;
         }
         let mut sib: Vec<f64> =
             stages.iter().enumerate().filter(|(j, _)| *j != i).map(|(_, s)| s.1).collect();
         sib.sort_by(|a, b| a.total_cmp(b));
         let median = median_of_sorted(&sib);
-        if *ms > cfg.straggler_factor * median && flagged.insert((job, *stage)) {
+        if *tuples > cfg.straggler_factor * median && flagged.insert((job, *stage)) {
             out.push(Diagnosis::Straggler {
                 tenant: tenant.clone(),
                 job,
                 stage: *stage,
-                ms: *ms,
-                median_ms: median,
+                tuples: *tuples,
+                median_tuples: median,
             });
         }
     }
@@ -378,7 +381,7 @@ mod tests {
         let wd = Watchdog::new(WatchdogConfig {
             cadence_ms: 0.0,
             straggler_factor: 4.0,
-            straggler_min_ms: 1.0,
+            straggler_min_tuples: 10,
             ..Default::default()
         });
         let (r, m) = (recorder(), MetricsRegistry::new());
@@ -399,7 +402,7 @@ mod tests {
 
     #[test]
     fn two_stage_jobs_are_never_stragglers() {
-        let wd = Watchdog::new(WatchdogConfig { straggler_min_ms: 0.0, ..Default::default() });
+        let wd = Watchdog::new(WatchdogConfig { straggler_min_tuples: 0, ..Default::default() });
         let (r, m) = (recorder(), MetricsRegistry::new());
         r.record(EventKind::StageCommitted, None, Some(1), Some(0), 100.0, "");
         r.record(EventKind::StageCommitted, None, Some(1), Some(1), 1.0, "");

@@ -13,6 +13,8 @@
 //! chosen its alternative, the minimal conversion tree for that producer is
 //! solved over the channel conversion graph (honouring channel reusability)
 //! and charged, scaled by loop-iteration factors.
+//! Many partials share the choices that settlement reads, so its cost is
+//! memoized for the run (see `MovementMemo`).
 
 use std::collections::HashMap;
 
@@ -23,11 +25,15 @@ use crate::channel::ChannelKind;
 use crate::cost::Interval;
 use crate::error::{Result, RheemError};
 use crate::mapping::Candidate;
-use crate::movement::ConversionGraph;
+use crate::movement::{check_fanout, ConversionGraph};
 use crate::plan::{OperatorId, RheemPlan};
 use crate::platform::PlatformId;
 
 const UNSET: u32 = u32::MAX;
+
+/// Most platforms one enumeration tells apart: a partial records its
+/// started platforms in a `u32` bitmask.
+const MAX_PLATFORMS: usize = 32;
 
 /// Statistics from one enumeration run (pruning ablation, §4.1's "kn plans"
 /// discussion).
@@ -39,6 +45,9 @@ pub struct EnumerationStats {
     pub partials_pruned: usize,
     /// Candidates considered (size of the inflated plan).
     pub candidates: usize,
+    /// Conversion-tree solves. Data-movement costs are memoized within one
+    /// enumeration, so this counts distinct settlements, not partials.
+    pub movement_solves: usize,
 }
 
 /// A consumer edge of some producer operator.
@@ -68,6 +77,33 @@ struct Inflated {
     consumers: Vec<Vec<ConsumerEdge>>,
     /// per topo step: producers whose movement becomes payable.
     pay_at: Vec<Vec<OperatorId>>,
+}
+
+/// Data-movement costs memoized for one enumeration.
+///
+/// Settling producer `p` reads only `p`'s chosen candidate and the chosen
+/// candidates at the far end of each of `p`'s consumer edges; cardinality,
+/// bytes, iteration factors, profiles and the cost model are fixed for the
+/// run. Keying on exactly those choices therefore returns what a fresh
+/// solve would, infeasible (`None`) results included: the memo is
+/// lossless. Edge weights depend only on `p`'s cardinality and bytes, so
+/// they are computed once per producer.
+struct MovementMemo<'g> {
+    graph: &'g ConversionGraph,
+    /// `[p, choice[p], choice[consumer] for each edge of p]` → cost.
+    costs: HashMap<Vec<u32>, Option<f64>>,
+    /// Conversion edge weights per producer, filled on first use.
+    weights: Vec<Option<Vec<f64>>>,
+    /// Reused buffer for building lookup keys.
+    key: Vec<u32>,
+    /// Distinct tree solves.
+    solves: usize,
+}
+
+impl<'g> MovementMemo<'g> {
+    fn new(graph: &'g ConversionGraph, n: usize) -> Self {
+        Self { graph, costs: HashMap::new(), weights: vec![None; n], key: Vec::new(), solves: 0 }
+    }
 }
 
 #[derive(Clone)]
@@ -187,7 +223,12 @@ fn build_inflated(opt: &Optimizer<'_>, plan: &RheemPlan, estimates: Estimates) -
             platforms.push(p);
         }
     }
-    assert!(platforms.len() <= 32, "too many platforms for bitmask");
+    if platforms.len() > MAX_PLATFORMS {
+        return Err(RheemError::Optimizer(format!(
+            "{} candidate platforms; the enumerator supports up to {MAX_PLATFORMS}",
+            platforms.len()
+        )));
+    }
 
     // --- cost annotation --------------------------------------------------
     let mut time_ms = Vec::with_capacity(cands.len());
@@ -303,18 +344,40 @@ impl Inflated {
     fn movement_cost(
         &self,
         opt: &Optimizer<'_>,
-        graph: &ConversionGraph,
+        plan: &RheemPlan,
+        memo: &mut MovementMemo<'_>,
         partial: &Partial,
         p: OperatorId,
-    ) -> Option<f64> {
+    ) -> Result<Option<f64>> {
         let cp = partial.choice[p.index()];
         debug_assert_ne!(cp, UNSET);
-        let cand = &self.cands[cp as usize];
-        if cand.output_op() != p {
+        if self.cands[cp as usize].output_op() != p {
             // Chain-internal producer: its consumers are inside the same
             // execution operator; no movement.
-            return Some(0.0);
+            return Ok(Some(0.0));
         }
+        memo.key.clear();
+        memo.key.extend([p.0, cp]);
+        memo.key.extend(self.consumers[p.index()].iter().map(|e| partial.choice[e.op.index()]));
+        if let Some(&cost) = memo.costs.get(memo.key.as_slice()) {
+            return Ok(cost);
+        }
+        let cost = self.solve_movement(opt, plan, memo, partial, p)?;
+        memo.costs.insert(memo.key.clone(), cost);
+        Ok(cost)
+    }
+
+    /// [`Inflated::movement_cost`] without the memo.
+    fn solve_movement(
+        &self,
+        opt: &Optimizer<'_>,
+        plan: &RheemPlan,
+        memo: &mut MovementMemo<'_>,
+        partial: &Partial,
+        p: OperatorId,
+    ) -> Result<Option<f64>> {
+        let cp = partial.choice[p.index()];
+        let cand = &self.cands[cp as usize];
         let out_kind = cand.exec.output_kind();
         let producer_platform = cand.exec.platform();
         let mut consumer_kinds: Vec<Vec<ChannelKind>> = Vec::new();
@@ -354,12 +417,18 @@ impl Inflated {
             consumer_kinds.push(kinds);
         }
         if consumer_kinds.is_empty() {
-            return Some(0.0);
+            return Ok(Some(0.0));
         }
+        check_fanout(consumer_kinds.len(), &plan.node(p).label())?;
         let card = self.estimates.out_card(p).geo_mean().max(0.0);
         let avg_bytes = self.estimates.avg_bytes[p.index()];
-        let tree =
-            graph.best_tree(out_kind, &consumer_kinds, card, avg_bytes, opt.profiles, opt.model)?;
+        let graph = memo.graph;
+        let weights = memo.weights[p.index()]
+            .get_or_insert_with(|| graph.edge_weights(card, avg_bytes, opt.profiles, opt.model));
+        memo.solves += 1;
+        let Some(tree_ms) = graph.tree_cost(out_kind, &consumer_kinds, weights) else {
+            return Ok(None);
+        };
         // Every external edge materializes an intermediate channel — a small
         // per-quantum handoff cost that makes operator fusion (chains)
         // strictly cheaper than equivalent sequences of single operators.
@@ -367,7 +436,7 @@ impl Inflated {
         let producer_profile = opt.profiles.get(producer_platform);
         let handoff_ms =
             consumer_kinds.len() as f64 * card * handoff_alpha / producer_profile.cycles_per_ms;
-        Some((tree.cost_ms + stage_overhead + handoff_ms) * iter_mult)
+        Ok(Some((tree_ms + stage_overhead + handoff_ms) * iter_mult))
     }
 
     /// Boundary signature of a partial after topo step `k` (inclusive).
@@ -421,6 +490,7 @@ pub(super) fn enumerate_with(
     let n = plan.len();
     let mut stats = EnumerationStats { candidates: inf.cands.len(), ..Default::default() };
 
+    let mut memo = MovementMemo::new(graph, n);
     let mut frontier: Vec<Partial> = vec![Partial { choice: vec![UNSET; n], cost: 0.0, mask: 0 }];
 
     for (k, &op) in inf.topo.iter().enumerate() {
@@ -462,7 +532,7 @@ pub(super) fn enumerate_with(
         let mut settled: Vec<Partial> = Vec::with_capacity(next.len());
         'partials: for mut partial in next {
             for &p in &inf.pay_at[k] {
-                match inf.movement_cost(opt, graph, &partial, p) {
+                match inf.movement_cost(opt, plan, &mut memo, &partial, p)? {
                     Some(ms) => partial.cost += ms,
                     None => continue 'partials, // unreachable channels: infeasible
                 }
@@ -507,6 +577,8 @@ pub(super) fn enumerate_with(
             frontier = settled;
         }
     }
+
+    stats.movement_solves = memo.solves;
 
     // The frontier is rebuilt from a HashMap, so its order is unstable;
     // break cost ties on the choice vector (which identifies a partial

@@ -216,3 +216,43 @@ fn explain_describes_stages() {
     assert!(out.contains("stage 0"), "{out}");
     assert!(out.contains("estimated cost"), "{out}");
 }
+
+/// One collection feeding `n` maps, unioned and collected. The maps are
+/// pinned to java.streams: the subset DP behind a 16-consumer conversion
+/// tree is costly in a debug build, and pinning leaves one tree to solve.
+fn fan_out_plan(n: i64) -> (RheemPlan, rheem_core::plan::OperatorId) {
+    let mut b = PlanBuilder::new();
+    let src = b.collection((0..10i64).map(Value::from).collect::<Vec<_>>());
+    let branch = |i: i64| {
+        src.map(MapUdf::new("shift", move |v| Value::from(v.as_int().unwrap() + i)))
+            .with_target_platform(ids::JAVA_STREAMS)
+    };
+    let mut all = branch(0);
+    for i in 1..n {
+        all = all.union(&branch(i));
+    }
+    let sink = all.collect();
+    (b.build().unwrap(), sink)
+}
+
+#[test]
+fn sixteen_way_fan_out_runs() {
+    let ctx = rheem::default_context();
+    let (plan, sink) = fan_out_plan(16);
+    let result = ctx.execute(&plan).unwrap();
+    assert_eq!(result.sink(sink).unwrap().len(), 160);
+}
+
+#[test]
+fn seventeen_way_fan_out_is_a_typed_optimizer_error() {
+    let ctx = rheem::default_context();
+    let (plan, _) = fan_out_plan(17);
+    for err in [ctx.optimize(&plan).err(), ctx.execute(&plan).err()] {
+        match err {
+            Some(RheemError::Optimizer(msg)) => {
+                assert!(msg.contains("17 consumers") && msg.contains("up to 16"), "{msg}")
+            }
+            other => panic!("expected a typed optimizer error, got {other:?}"),
+        }
+    }
+}

@@ -1070,3 +1070,133 @@ fn conformance_matrix_shapes_come_from_the_pinned_producer() {
         }
     }
 }
+
+// ---- conformance matrix: loop bodies and sources × platform × batch mode ----
+
+/// Plan heads and bodies the operator matrix above does not reach.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum LoopOrSource {
+    /// A `repeat` body: map + keyed reduce over the loop state.
+    Repeat,
+    /// A `do_while` body: a broadcast-reading map and a global reduce; the
+    /// condition reads the single-row feedback, so it is order-independent.
+    DoWhile,
+    /// A `TextFileSource` head feeding WordCount.
+    TextFile,
+    /// A PageRank over a collection of edges.
+    PageRank,
+}
+
+const LOOPS_AND_SOURCES: [LoopOrSource; 4] =
+    [LoopOrSource::Repeat, LoopOrSource::DoWhile, LoopOrSource::TextFile, LoopOrSource::PageRank];
+
+/// `(key, value)` int pairs, as in the operator matrix.
+fn keyed_rows(n: i64) -> Vec<Value> {
+    (0..n)
+        .map(|i| Value::pair(Value::from((i * 7 + 1) % 97), Value::from((i * 37 + 1) % 201 - 100)))
+        .collect()
+}
+
+/// Run `case` with its loop body, source or PageRank pinned to `consumer`.
+/// java.streams has no text-file source of its own, so there the driver
+/// reads the file and java.streams runs the rest.
+fn run_loop_source_case(
+    case: LoopOrSource,
+    consumer: PlatformId,
+    batch: bool,
+) -> Result<Vec<Value>> {
+    let mut b = PlanBuilder::new();
+    let out = match case {
+        LoopOrSource::Repeat => b.collection(keyed_rows(9_000)).repeat(3, |w| {
+            w.map(MapUdf::field_add_int("bump", 1, 3))
+                .with_target_platform(consumer)
+                .reduce_by_key(KeyUdf::field(0), ReduceUdf::pair_int_sum("sum"))
+                .with_target_platform(consumer)
+        }),
+        LoopOrSource::DoWhile => {
+            let data = b.collection(keyed_rows(2_000));
+            let init = b.collection(vec![Value::from(0i64)]);
+            let cond = PredicateUdf::new("big", |v| v.as_int().unwrap_or(0) > 500_000);
+            init.do_while(cond, 8, |w| {
+                data.map(MapUdf::with_ctx("lift", |p, ctx| {
+                    let w = ctx.get_or_empty("w").first().and_then(Value::as_int).unwrap_or(0);
+                    Value::from(p.field(1).as_int().unwrap_or(0).abs() + w / 2_000)
+                }))
+                .with_target_platform(consumer)
+                .broadcast("w", w)
+                .reduce(ReduceUdf::new("sum", |a, b| {
+                    Value::from(a.as_int().unwrap_or(0) + b.as_int().unwrap_or(0))
+                }))
+                .with_target_platform(consumer)
+            })
+        }
+        LoopOrSource::TextFile => {
+            let path = std::path::PathBuf::from("hdfs://tests/differential/lines.txt");
+            rheem_datagen::text::write_corpus(&path, 64, 3).unwrap();
+            let mut lines = b.read_text_file(&path);
+            if consumer != ids::JAVA_STREAMS {
+                lines = lines.with_target_platform(consumer);
+            }
+            lines
+                .flat_map(FlatMapUdf::new("split", |v| {
+                    v.as_str().unwrap_or("").split_whitespace().map(Value::from).collect()
+                }))
+                .with_target_platform(consumer)
+                .map(MapUdf::new("pair", |w| Value::pair(w.clone(), Value::from(1))))
+                .with_target_platform(consumer)
+                .reduce_by_key(KeyUdf::field(0), ReduceUdf::pair_int_sum("count"))
+                .with_target_platform(consumer)
+        }
+        LoopOrSource::PageRank => {
+            let mut rng = SplitMix64(11);
+            let edges: Vec<Value> = (0..3_000)
+                .map(|_| {
+                    let (s, d) = (rng.next_u64() % 400, rng.next_u64() % 400);
+                    Value::pair(Value::from(s as i64), Value::from(d as i64))
+                })
+                .collect();
+            b.collection(edges).page_rank(5, 0.85).with_target_platform(consumer)
+        }
+    };
+    let sink = out.collect();
+    let plan = b.build().unwrap();
+    let result = rheem::default_context().with_batch(batch).execute(&plan)?;
+    let mut out = result.sink(sink)?.to_vec();
+    out.sort();
+    Ok(out)
+}
+
+/// Every loop body and source computes the java.streams row answer on
+/// java.streams, spark and flink, with batch execution on and off.
+#[test]
+fn conformance_matrix_loops_and_sources() {
+    let mut failures = Vec::new();
+    let mut cases = 0;
+    for case in LOOPS_AND_SOURCES {
+        let reference = run_loop_source_case(case, ids::JAVA_STREAMS, false)
+            .unwrap_or_else(|e| panic!("{case:?}: java.streams row reference failed: {e}"));
+        assert!(!reference.is_empty(), "{case:?}: empty reference");
+        for consumer in PLATFORMS {
+            for batch in [true, false] {
+                cases += 1;
+                let name = format!("{case:?} on {consumer:?} (batch={batch})");
+                match run_loop_source_case(case, consumer, batch) {
+                    Ok(out) if out == reference => {}
+                    Ok(out) => failures.push(format!(
+                        "{name}: {} rows differ from the {}-row reference",
+                        out.len(),
+                        reference.len()
+                    )),
+                    Err(e) => failures.push(format!("{name}: {e}")),
+                }
+            }
+        }
+    }
+    assert_eq!(cases, 4 * 3 * 2);
+    assert!(
+        failures.is_empty(),
+        "{} of {cases} cases failed:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
+}

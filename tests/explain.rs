@@ -324,3 +324,119 @@ fn retry_and_failover_spans_recorded_and_deterministic() {
     // And the whole structure is reproducible.
     assert_eq!(t.render_structure(), run().0.render_structure());
 }
+
+// ---- plan-choice lock ---------------------------------------------------
+
+/// One Spark RDD read by two Spark consumers. A plain RDD is consumed once,
+/// so the fan-out must route through `spark.rdd.cached`.
+fn spark_fanout_plan() -> (RheemPlan, OperatorId) {
+    let mut b = PlanBuilder::new();
+    let words = b
+        .collection(corpus())
+        .flat_map(FlatMapUdf::new("split", |v| {
+            v.as_str().unwrap_or("").split_whitespace().map(Value::from).collect()
+        }))
+        .with_target_platform(ids::SPARK);
+    let long = words
+        .filter(PredicateUdf::new("long", |v| v.as_str().unwrap_or("").len() > 4))
+        .with_target_platform(ids::SPARK);
+    let upper = words
+        .map(MapUdf::new("upper", |v| Value::from(v.as_str().unwrap_or("").to_uppercase())))
+        .with_target_platform(ids::SPARK);
+    let sink = long.union(&upper).distinct().with_target_platform(ids::SPARK).collect();
+    (b.build().unwrap(), sink)
+}
+
+/// SGD over 200k points: the loop body leaves the driver, so both of its
+/// broadcasts go through channel conversions every iteration.
+fn large_sgd_plan() -> (RheemPlan, OperatorId) {
+    let mut b = PlanBuilder::new();
+    let points: Vec<Value> =
+        (0..200_000i64).map(|i| Value::pair(Value::from(i % 7 - 3), Value::from(i % 11))).collect();
+    let points = b.collection(points);
+    let winit = b.collection(vec![Value::from(0i64)]);
+    let sink = winit
+        .repeat(5, |w| {
+            let grad = points
+                .map(MapUdf::with_ctx("gradient", |p, ctx| {
+                    let wv =
+                        ctx.get_or_empty("weights").first().and_then(Value::as_int).unwrap_or(0);
+                    Value::from(p.field(0).as_int().unwrap_or(0) * wv)
+                }))
+                .broadcast("weights", w)
+                .reduce(ReduceUdf::new("gsum", |a, b| {
+                    Value::from(a.as_int().unwrap_or(0) + b.as_int().unwrap_or(0))
+                }));
+            w.map(MapUdf::with_ctx("update", |w, ctx| {
+                let g =
+                    ctx.get_or_empty("gradient_sum").first().and_then(Value::as_int).unwrap_or(0);
+                Value::from(w.as_int().unwrap_or(0) - g / 64)
+            }))
+            .broadcast("gradient_sum", &grad)
+        })
+        .collect();
+    (b.build().unwrap(), sink)
+}
+
+/// What enumeration decided, exactly: the bits of `est_ms`, the platform
+/// chosen per operator, and the partial-plan counts. Also checks that the
+/// movement memo did its job: fewer tree solves than partials.
+fn plan_lock(plan: &RheemPlan) -> String {
+    let opt = rheem::default_context().optimize(plan).unwrap();
+    assert!(
+        opt.stats.movement_solves < opt.stats.partials_created,
+        "{} tree solves for {} partials",
+        opt.stats.movement_solves,
+        opt.stats.partials_created
+    );
+    let platforms: Vec<String> =
+        plan.operators().iter().map(|n| opt.platform_of(n.id).to_string()).collect();
+    format!(
+        "est_bits={:#018x} created={} pruned={} platforms=[{}]",
+        opt.est_ms.to_bits(),
+        opt.stats.partials_created,
+        opt.stats.partials_pruned,
+        platforms.join(",")
+    )
+}
+
+/// Plan choice is locked byte for byte: these values were recorded before
+/// data-movement costs were memoized, and must not move with any change
+/// that only makes the optimizer faster.
+#[test]
+fn plan_choice_is_locked() {
+    let cases = [
+        (
+            wordcount_plan(),
+            "est_bits=0x3ffb435193d6da8e created=70 pruned=32 \
+             platforms=[rheem.driver,java.streams,java.streams,java.streams,rheem.driver]",
+        ),
+        (
+            hybrid_wordcount_plan(),
+            "est_bits=0x40acc9bfbe664735 created=29 pruned=11 \
+             platforms=[rheem.driver,flink,flink,flink,spark,rheem.driver]",
+        ),
+        (
+            sgd_plan(),
+            "est_bits=0x402397b4a2339c0f created=49 pruned=20 platforms=[rheem.driver,\
+             rheem.driver,rheem.driver,java.streams,java.streams,java.streams,rheem.driver]",
+        ),
+        (
+            spark_fanout_plan(),
+            "est_bits=0x409f62af41fa8e67 created=13 pruned=0 \
+             platforms=[rheem.driver,spark,spark,spark,spark,spark,rheem.driver]",
+        ),
+        (
+            large_sgd_plan(),
+            "est_bits=0x40b28eb573c46274 created=49 pruned=20 \
+             platforms=[rheem.driver,rheem.driver,rheem.driver,flink,flink,flink,rheem.driver]",
+        ),
+    ];
+    for ((plan, _), expected) in cases {
+        assert_eq!(plan_lock(&plan), expected);
+    }
+    // The fan-out really routes through Spark's cached RDD.
+    let (plan, _) = spark_fanout_plan();
+    let explain = rheem::default_context().explain(&plan).unwrap();
+    assert!(explain.contains("SparkCache"), "{explain}");
+}

@@ -34,10 +34,10 @@ fn sum_reduce() -> ReduceUdf {
     })
 }
 
-/// A `rows`-sized map + keyed-reduce job. Stage virtual time is wall time
-/// scaled by the platform profile, so row count is the latency lever:
-/// tests pick sizes with orders-of-magnitude separation from the watchdog
-/// thresholds. `salt` varies the data so jobs are distinct cache entries.
+/// A `rows`-sized map + keyed-reduce job. Its compute stage consumes `rows`
+/// input tuples, the watchdog's straggler signal: tests pick sizes with
+/// orders-of-magnitude separation from the watchdog thresholds. `salt`
+/// varies the data so jobs are distinct cache entries.
 fn sized_plan(rows: i64, salt: u64) -> RheemPlan {
     let data: Vec<Value> = (0..rows)
         .map(|i| Value::pair(Value::from((i + salt as i64) % 7), Value::from(i)))
@@ -51,13 +51,13 @@ fn sized_plan(rows: i64, salt: u64) -> RheemPlan {
 }
 
 /// A tiny, balanced job: every stage stays ~2 orders of magnitude under
-/// the e2e test's `straggler_min_ms`.
+/// the e2e test's `straggler_min_tuples`.
 fn regular_plan(salt: u64) -> RheemPlan {
     sized_plan(200, salt)
 }
 
 /// A job whose first compute stage processes 500x the rows of a regular
-/// job: one stage far above `straggler_min_ms` against sub-millisecond
+/// job: one stage far above `straggler_min_tuples` against tiny
 /// siblings, i.e. a deterministic straggler under `factor: 4`.
 fn straggler_plan() -> RheemPlan {
     let data: Vec<Value> =
@@ -222,7 +222,7 @@ fn watchdog_flags_starved_tenant_and_straggler_over_live_scrapes() {
             cadence_ms: 0.0, // sweep on every completion
             starvation_lag_ms: 200.0,
             straggler_factor: 4.0,
-            straggler_min_ms: 60.0,
+            straggler_min_tuples: 20_000,
             ..Default::default()
         },
         ..Default::default()
